@@ -64,8 +64,8 @@ class SharedGraphStore:
 
     Create with :meth:`export`; hand :meth:`spec` (plain data) to
     workers; call :meth:`close` exactly when no worker can still be
-    attaching — the process backend does this from ``finally`` blocks
-    after every worker has been joined or terminated.
+    attaching — the process backend does this after stopping its
+    worker pool (on close, on garbage collection, or on a graph change).
     """
 
     def __init__(self):

@@ -867,4 +867,5 @@ def compile_query(query, graph, scouting=False):
     """Convenience wrapper: parsed query + graph -> DistributedPlan."""
     plan = PlanCompiler(query, graph, scouting=scouting).compile()
     annotate_estimates(plan, graph)
+    plan.source = (query, scouting)
     return plan

@@ -25,7 +25,7 @@ Hop kinds (paper Table 1):
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..graph.types import Direction
@@ -188,6 +188,11 @@ class DistributedPlan:
     bootstrap_labels: Tuple[Tuple[int, ...], ...] = ()
     bootstrap_single_vertex: Optional[int] = None  # id(v)=const start
     slot_names: Tuple[str, ...] = ()
+    # ``(Query AST, scouting)`` the plan was compiled from, recorded by
+    # :func:`~repro.plan.compiler.compile_query`.  The compiled closures do
+    # not pickle, so the process backend ships this source instead and
+    # each worker recompiles it against its own copy of the graph.
+    source: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def num_stages(self):

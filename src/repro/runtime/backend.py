@@ -10,18 +10,30 @@ scheduler directly; it dispatches through an :class:`ExecutionBackend`:
   faults, recovery, membership, tracing, and the race detector all live
   here.
 * :class:`ProcessBackend` — real parallelism.  Each partition's
-  :class:`~repro.runtime.machine.Machine` loop runs in a forked OS
-  process; ``Batch``/``Done``/``Status`` frames are pickled onto
+  :class:`~repro.runtime.machine.Machine` loop runs in a persistent
+  worker process; ``Batch``/``Done``/``Status`` frames are pickled onto
   ``multiprocessing.Queue`` channels between workers; the CSR adjacency
   is placed in ``multiprocessing.shared_memory`` and attached read-only
-  per worker (:mod:`repro.graph.shm`); this coordinator process owns
-  admission, termination, and result assembly.
+  once per worker (:mod:`repro.graph.shm`); this coordinator process
+  owns admission, termination, and result assembly.
 
 Topology: ``workers`` processes (default ``num_machines``) each host the
 machines ``m`` with ``m % workers == worker_id``.  One inbound queue per
 worker carries data/control frames from peers plus the coordinator's
-stop sentinel; one shared result queue carries conclusion notices and
-final per-machine payloads back.
+run and stop orders; one shared result queue carries conclusion notices
+and final per-machine payloads back.
+
+Pool lifecycle: the workers are forked on the backend's first ``run``
+and serve every later query until ``close`` (or garbage collection of
+the backend, or the coordinator's death — an idle worker notices its
+parent is gone and exits).  Each query gets a fresh ``query_id`` from a
+backend-wide counter; every frame carries it, so a frame of a later
+query that overtakes its run order is held back, and a late credit
+return or STATUS of a finished query is dropped before it reaches a
+:class:`~repro.runtime.machine.Machine`.  A worker crash or error, or a
+run whose cluster shape differs (graph, ``num_machines``, ``workers``,
+``channel_capacity``), tears the pool down; the next ``run`` forks a
+fresh one.
 
 Termination: each machine runs the paper's double-confirmation protocol
 (Section 3.4) exactly as under the simulator — STATUS snapshots are
@@ -30,7 +42,7 @@ conclude after confirming, twice, with strictly newer information, that
 global sent == processed on every channel; that property is
 schedule-independent, so the *first* conclusion anywhere proves all
 data-plane work is globally done and every sink is complete.  The
-coordinator then broadcasts the stop sentinel; in-flight frames past
+coordinator then sends every worker a stop order; in-flight frames past
 that point can only be credit returns or stale STATUS traffic.
 
 Message ordering: receive-priority seq tiebreakers are process-local.
@@ -49,29 +61,42 @@ validation plus the explicit checks here — simulator-only options raise
 :class:`~repro.errors.ConfigError` instead of being silently ignored.
 """
 
+import itertools
 import multiprocessing
+import os
+import threading
 import time
 import traceback
+import weakref
+from collections import OrderedDict
 from queue import Empty
 
 from ..analysis.sanitizer import sanitizer_from_config
 from ..engine.result import MachineSink
 from ..errors import ConfigError, ExecutionError
 from ..graph.shm import SharedGraphStore, csr_nbytes, install_shared_csrs
+from ..plan.compiler import compile_query
 from .machine import Machine
 from .message import _seq
 from .scheduler import QueryExecution
 from .stats import RunStats
 
-#: Coordinator's stop sentinel on worker inboxes (a plain string cannot be
-#: confused with a message dataclass after pickling).
-_STOP = "__repro_stop__"
+#: Coordinator's pool shutdown order on worker inboxes (a plain string
+#: cannot be confused with a message dataclass after pickling).
+_SHUTDOWN = "__repro_shutdown__"
 #: Hard ceiling on one process-backend run; a healthy run signals long
 #: before this, so hitting it means workers live-locked or lost frames.
 _RUN_TIMEOUT_S = 600.0
 #: Idle worker block on the inbox (seconds) before re-polling; long
 #: enough not to spin a core, short enough to keep STATUS cadence tight.
 _IDLE_WAIT_S = 0.002
+#: Between queries a worker blocks this long on its inbox before checking
+#: that its coordinator is still alive.
+_ORPHAN_POLL_S = 0.5
+#: Compiled plans a pool keeps per worker.  Coordinator and workers see
+#: the same run orders in the same sequence and evict least-recently-used
+#: in lockstep, so the coordinator knows which tokens every worker holds.
+_PLAN_CACHE_SIZE = 64
 
 
 class ExecutionBackend:
@@ -163,33 +188,113 @@ class _ProcessNetwork:
         return pending
 
 
-def _worker_main(worker_id, num_workers, dgraph, plan, config, shm_spec,
+def _worker_main(worker_id, num_workers, dgraph, shm_spec, first_plan,
                  inboxes, results):
-    """One worker process: host machines ``m % num_workers == worker_id``.
+    """One pool worker: host machines ``m % num_workers == worker_id``.
 
-    Runs under the fork start method — ``dgraph``/``plan``/``config``
-    are inherited, never pickled.  Exits when the coordinator's stop
-    sentinel arrives, posting each hosted machine's sink payload and
-    counters on the result queue.
+    Runs under the fork start method — ``dgraph`` and ``first_plan``
+    (``(token, plan)`` of the query that started the pool) are
+    inherited, never pickled, and the shared-memory CSR is attached
+    once here.  The worker then serves run orders until the shutdown
+    order arrives or its coordinator dies (see :class:`_Worker`).
     """
     try:
         if shm_spec is not None:
             install_shared_csrs(dgraph.graph, shm_spec)
+        _Worker(
+            worker_id, num_workers, dgraph, first_plan, inboxes, results
+        ).serve()
+    except BaseException:
+        # Worker boundary: ship the traceback across the process gap so
+        # the coordinator can re-raise it as ExecutionError, then crash
+        # this worker loudly too.
+        results.put(("error", worker_id, traceback.format_exc()))
+        raise
+
+
+class _Worker:
+    """One pool worker's state across queries, inside the worker process.
+
+    A run order is ``("run", query_id, config, token, source, profile)``.
+    ``source`` is the plan's ``(Query AST, scouting)`` the first time a
+    ``token`` is used and ``None`` after; each query posts its machines'
+    sink payloads and counters on the result queue.
+    """
+
+    def __init__(self, worker_id, num_workers, dgraph, first_plan, inboxes,
+                 results):
+        self.id = worker_id
+        self.num_workers = num_workers
+        self.dgraph = dgraph
+        self.network = _ProcessNetwork(worker_id, num_workers, inboxes)
+        self.inbox = inboxes[worker_id]
+        self.results = results
+        self.parent = os.getppid()
+        self.plans = OrderedDict([first_plan])  # token -> compiled plan, LRU
+        self.early = []  # frames of a query whose run order has not arrived
+        self.finished = 0  # id of the last query this worker ran
+
+    def _exit_if_orphaned(self):
+        """Exit at once when the coordinator that forked this worker is gone.
+
+        ``os._exit`` skips the queue feeder-thread joins of a normal
+        exit, which could block forever on a pipe no live process reads.
+        """
+        if os.getppid() != self.parent:
+            os._exit(0)
+
+    def serve(self):
+        while True:
+            try:
+                item = self.inbox.get(timeout=_ORPHAN_POLL_S)
+            except Empty:
+                self._exit_if_orphaned()
+                continue
+            if item == _SHUTDOWN:
+                os._exit(0)
+            if isinstance(item, tuple):
+                self._run(*item[1:])
+            elif item.query_id > self.finished:
+                self.early.append(item)  # overtook its query's run order
+            # else: a late credit return / STATUS of a finished query
+
+    def _plan(self, token, source):
+        """The compiled plan for ``token``, compiling ``source`` if new."""
+        plans = self.plans
+        if source is not None:
+            query, scouting = source
+            plans[token] = compile_query(
+                query, self.dgraph.graph, scouting=scouting
+            )
+            if len(plans) > _PLAN_CACHE_SIZE:
+                plans.popitem(last=False)
+        plans.move_to_end(token)
+        return plans[token]
+
+    def _run(self, query_id, config, token, source, profile):
+        """Run this worker's machines for one query until its stop order."""
+        plan = self._plan(token, source)
         prof = None
-        if config.profile:
+        if profile:
             from ..obs.prof import PhaseProfiler
 
             prof = PhaseProfiler()
         sanitizer = sanitizer_from_config(config)
-        network = _ProcessNetwork(worker_id, num_workers, inboxes)
-        inbox = inboxes[worker_id]
+        network = self.network
+        inbox = self.inbox
+        # Frames that arrived before the run order go first; the last
+        # query's undelivered local frames are stale.
+        network._local_pending = [
+            f for f in self.early if f.query_id == query_id
+        ]
+        self.early = [f for f in self.early if f.query_id > query_id]
         sinks = {}
         machines = []
-        for m in range(worker_id, config.num_machines, num_workers):
+        for m in range(self.id, config.num_machines, self.num_workers):
             sinks[m] = MachineSink(plan)
             machines.append(
-                Machine(m, dgraph, plan, config, network, sinks[m],
-                        sanitizer=sanitizer, prof=prof)
+                Machine(m, self.dgraph, plan, config, network, sinks[m],
+                        sanitizer=sanitizer, query_id=query_id, prof=prof)
             )
         local = {machine.id: machine for machine in machines}
 
@@ -205,9 +310,13 @@ def _worker_main(worker_id, num_workers, dgraph, plan, config, shm_spec,
                     break
             delivered = 0
             for frame in frames:
-                if frame == _STOP:
+                if isinstance(frame, tuple):  # ("stop", query_id)
                     running = False
                     continue
+                if frame.query_id != query_id:
+                    if frame.query_id > query_id:
+                        self.early.append(frame)
+                    continue  # late credit return / STATUS of a finished query
                 # Re-stamp the receive-priority tiebreaker from this
                 # process's counter: sender seqs are only unique per
                 # process, and a tie would make the inbox heap compare
@@ -233,13 +342,14 @@ def _worker_main(worker_id, num_workers, dgraph, plan, config, shm_spec,
                     machine.protocol.concluded for machine in machines
                 ):
                     reported = True
-                    results.put(("concluded", worker_id))
+                    self.results.put(("concluded", self.id, query_id))
             if worked == 0.0 and delivered == 0:
                 # Fully idle: block briefly on the inbox instead of
                 # spinning; whatever arrives is handled next iteration.
                 try:
                     frame = inbox.get(timeout=_IDLE_WAIT_S)
                 except Empty:
+                    self._exit_if_orphaned()
                     continue  # poll timeout: re-check local work and inbox
                 network._local_pending.append(frame)
 
@@ -257,59 +367,200 @@ def _worker_main(worker_id, num_workers, dgraph, plan, config, shm_spec,
             "iterations": loop_no,
             "profile": None if prof is None else prof.summary(),
         }
-        results.put(("result", worker_id, payload))
-    except BaseException:
-        # Worker boundary: ship the traceback across the process gap so
-        # the coordinator can re-raise it as ExecutionError, then crash
-        # this worker loudly too.
-        results.put(("error", worker_id, traceback.format_exc()))
-        raise
+        self.results.put(("result", self.id, query_id, payload))
+        self.finished = query_id
+
+
+class _Pool:
+    """One set of persistent workers, their channels and plan tokens."""
+
+    def __init__(self, dgraph, num_workers, channel_capacity, shm_spec,
+                 plan):
+        ctx = multiprocessing.get_context("fork")
+        self.dgraph = dgraph
+        self.channel_capacity = channel_capacity
+        self.inboxes = [ctx.Queue(channel_capacity) for _ in range(num_workers)]
+        self.results = ctx.Queue()
+        self.procs = []
+        self._tokens = itertools.count(1)
+        # The query that starts the pool hands its plan over by fork.
+        first_plan = (next(self._tokens), plan)
+        self._plans = OrderedDict([first_plan])  # as each worker's cache
+        try:
+            for w in range(num_workers):
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(w, num_workers, dgraph, shm_spec, first_plan,
+                          self.inboxes, self.results),
+                    daemon=True,
+                )
+                proc.start()
+                self.procs.append(proc)
+        except BaseException:
+            self.close(graceful=False)
+            raise
+
+    def fits(self, dgraph, num_workers, channel_capacity):
+        """Whether this pool can serve a run of the given cluster shape."""
+        return (
+            self.dgraph is dgraph
+            and len(self.procs) == num_workers
+            and self.channel_capacity == channel_capacity
+            and all(proc.is_alive() for proc in self.procs)
+        )
+
+    def _plan_order(self, plan):
+        """``(token, source)`` for a run order; ``source`` only when new."""
+        for token, cached in self._plans.items():
+            if cached is plan:
+                self._plans.move_to_end(token)
+                return token, None
+        token = next(self._tokens)
+        self._plans[token] = plan
+        if len(self._plans) > _PLAN_CACHE_SIZE:
+            self._plans.popitem(last=False)
+        return token, plan.source
+
+    def run(self, query_id, plan, config, profile, started):
+        """Drive one query: stop on first conclusion, collect all payloads."""
+        token, source = self._plan_order(plan)
+        order = ("run", query_id, config, token, source, profile)
+        for chan in self.inboxes:
+            chan.put(order)
+        payloads = {}
+        stopped = False
+        while len(payloads) < len(self.procs):
+            try:
+                msg = self.results.get(timeout=0.05)
+            except Empty:
+                for w, proc in enumerate(self.procs):
+                    if w not in payloads and not proc.is_alive():
+                        raise ExecutionError(
+                            f"process backend worker {w} exited (code "
+                            f"{proc.exitcode}) before posting its result"
+                        )
+                # repro: allow[RPQ103] wall-clock watchdog only; never feeds protocol state
+                if time.perf_counter() - started > _RUN_TIMEOUT_S:
+                    raise ExecutionError(
+                        "process backend run exceeded "
+                        f"{_RUN_TIMEOUT_S:.0f}s without concluding"
+                    )
+                continue
+            kind = msg[0]
+            if kind == "error":
+                raise ExecutionError(
+                    f"process backend worker {msg[1]} failed:\n{msg[2]}"
+                )
+            if msg[2] != query_id:
+                continue  # a notice left over from an earlier query
+            if kind == "concluded":
+                # Double-confirmation makes any machine's conclusion a
+                # proof that global sent == processed: all sinks are
+                # complete, so stop every worker.
+                if not stopped:
+                    stopped = True
+                    for chan in self.inboxes:
+                        chan.put(("stop", query_id))
+            else:  # ("result", worker_id, query_id, payload)
+                payloads[msg[1]] = msg[3]
+        return payloads
+
+    def close(self, graceful=True):
+        """Stop every worker; ``graceful`` lets idle workers exit first."""
+        if graceful:
+            for chan, proc in zip(self.inboxes, self.procs):
+                if proc.is_alive():
+                    chan.put(_SHUTDOWN)
+            for proc in self.procs:
+                proc.join(timeout=2.0)
+        for proc in self.procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=5.0)
+        for chan in [*self.inboxes, self.results]:
+            # Never block interpreter exit flushing frames no worker reads.
+            chan.cancel_join_thread()
+            chan.close()
+
+
+class _Owned:
+    """What a :class:`ProcessBackend` holds across runs: pool and export.
+
+    Kept apart from the backend so the backend's ``weakref.finalize``
+    callback (this object's ``close``) can release both without keeping
+    the backend itself alive.
+    """
+
+    def __init__(self):
+        self.pool = None
+        self.store = None
+        self.store_graph = None  # graph the cached export belongs to
+
+    def stop_pool(self, graceful=True):
+        if self.pool is not None:
+            pool, self.pool = self.pool, None
+            pool.close(graceful)
+
+    def release_store(self):
+        if self.store is not None:
+            self.store.close()
+            self.store = None
+            self.store_graph = None
+
+    def close(self):
+        self.stop_pool()
+        self.release_store()
 
 
 class ProcessBackend(ExecutionBackend):
-    """Real-parallel execution: one forked OS process per worker.
+    """Real-parallel execution on a persistent pool of forked workers.
 
-    The backend caches the shared-memory CSR export across runs on the
-    same graph (benchmarks re-run queries back to back); ``close`` — or
-    the owning Session's context-manager exit — unlinks it.  Worker
-    processes are per-run: spawned after the sinks are known, joined or
-    terminated before ``run`` returns, so a crash can never leak
-    children past the call.
+    The pool starts on the first ``run`` and serves every later query;
+    the shared-memory CSR export is made once per graph.  ``close`` — or
+    the owning Session's context-manager exit, or garbage collection of
+    the backend — stops the workers and unlinks the export.  A worker
+    crash or error, or a run with a different cluster shape, tears the
+    pool down before ``run`` returns, so no failed pool outlives the
+    call; the next ``run`` starts a fresh one.
     """
 
     name = "process"
 
     def __init__(self):
-        self._store = None
-        self._store_graph = None  # graph the cached export belongs to
+        self._owned = _Owned()
+        self._query_ids = itertools.count(1)
+        self._lock = threading.Lock()
+        weakref.finalize(self, self._owned.close)
 
     # -- shared-memory lifecycle ---------------------------------------
     def _shm_spec(self, graph, config):
         """The cached CSR export's attach spec, or ``None`` below threshold."""
-        if self._store is not None and self._store_graph is not graph:
-            self._release_store()
-        if self._store is None:
+        owned = self._owned
+        if owned.store is not None and owned.store_graph is not graph:
+            owned.release_store()
+        if owned.store is None:
             if csr_nbytes(graph) < config.shm_threshold_bytes:
                 # Small adjacency: fork inheritance is cheaper than an
                 # export+attach round trip.
                 return None
-            self._store = SharedGraphStore.export(graph)
-            self._store_graph = graph
-        return self._store.spec()
-
-    def _release_store(self):
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-            self._store_graph = None
+            owned.store = SharedGraphStore.export(graph)
+            owned.store_graph = graph
+        return owned.store.spec()
 
     @property
     def shm_segments(self):
         """Live shared-memory segment names (leak-check surface for tests)."""
-        return [] if self._store is None else self._store.segment_names
+        store = self._owned.store
+        return [] if store is None else store.segment_names
+
+    @property
+    def worker_pids(self):
+        """Process ids of the live pool's workers (empty with no pool)."""
+        pool = self._owned.pool
+        return [] if pool is None else [proc.pid for proc in pool.procs]
 
     def close(self):
-        self._release_store()
+        self._owned.close()
 
     # -- execution ------------------------------------------------------
     def open_cluster(self, dgraph, config):
@@ -319,6 +570,27 @@ class ProcessBackend(ExecutionBackend):
             "use backend='sim' for Session.submit, or Session.execute for "
             "solo process-parallel runs"
         )
+
+    def _pool_for(self, dgraph, plan, config, prof):
+        """The live pool, restarted first if the cluster shape changed."""
+        owned = self._owned
+        num_workers = min(
+            config.workers or config.num_machines, config.num_machines
+        )
+        if owned.pool is not None and not owned.pool.fits(
+            dgraph, num_workers, config.channel_capacity
+        ):
+            owned.stop_pool()
+        if owned.pool is None:
+            if prof is not None:
+                prof.enter("backend.spawn")
+            shm_spec = self._shm_spec(dgraph.graph, config)
+            owned.pool = _Pool(
+                dgraph, num_workers, config.channel_capacity, shm_spec, plan
+            )
+            if prof is not None:
+                prof.exit()
+        return owned.pool
 
     def run(self, dgraph, plan, config, sinks, trace=None, recorder=None,
             prof=None):
@@ -338,52 +610,34 @@ class ProcessBackend(ExecutionBackend):
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutionError(
                 "backend='process' requires the fork start method "
-                "(workers inherit the graph and plan); this platform "
-                "offers none — run backend='sim'"
+                "(workers inherit the graph); this platform offers none "
+                "— run backend='sim'"
+            )
+        if plan.source is None:
+            raise ConfigError(
+                "backend='process' ships each plan's query source to its "
+                "workers; this plan has none — compile it with "
+                "Session.compile or repro.plan.compile_query"
             )
         # repro: allow[RPQ103] wall-clock reporting only; never feeds protocol state
         started = time.perf_counter()
-        num_workers = config.workers or config.num_machines
-        num_workers = min(num_workers, config.num_machines)
-        if prof is not None:
-            prof.enter("backend.spawn")
-        shm_spec = self._shm_spec(dgraph.graph, config)
-        ctx = multiprocessing.get_context("fork")
-        inboxes = [
-            ctx.Queue(config.channel_capacity) for _ in range(num_workers)
-        ]
-        results = ctx.Queue()
-        procs = []
-        try:
-            for w in range(num_workers):
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(w, num_workers, dgraph, plan, config, shm_spec,
-                          inboxes, results),
-                    daemon=True,
+        with self._lock:  # one query at a time owns the pool
+            try:
+                pool = self._pool_for(dgraph, plan, config, prof)
+                if prof is not None:
+                    prof.enter("backend.coordinate")
+                # Workers profile this query when the caller's run does,
+                # not only under config.profile (execute(profile=True)).
+                payloads = pool.run(
+                    next(self._query_ids), plan, config,
+                    prof is not None or config.profile, started,
                 )
-                proc.start()
-                procs.append(proc)
-            if prof is not None:
-                prof.exit()
-                prof.enter("backend.coordinate")
-            payloads = self._coordinate(procs, inboxes, results, started)
-        except BaseException:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-            raise
-        finally:
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            for chan in inboxes:
-                chan.close()
-            results.close()
-            if prof is not None:
-                prof.unwind()
+            except BaseException:
+                self._owned.stop_pool(graceful=False)
+                raise
+            finally:
+                if prof is not None:
+                    prof.unwind()
         if prof is not None:
             prof.enter("backend.merge")
         machine_stats, iterations, profile = self._merge(
@@ -398,44 +652,6 @@ class ProcessBackend(ExecutionBackend):
             machine_stats, iterations, wall, config, profile=profile,
         )
         return stats, False, False
-
-    def _coordinate(self, procs, inboxes, results, started):
-        """Drive one run: stop on first conclusion, collect all payloads."""
-        payloads = {}
-        stopped = False
-        while len(payloads) < len(procs):
-            try:
-                msg = results.get(timeout=0.05)
-            except Empty:
-                for w, proc in enumerate(procs):
-                    if w not in payloads and not proc.is_alive():
-                        raise ExecutionError(
-                            f"process backend worker {w} exited (code "
-                            f"{proc.exitcode}) before posting its result"
-                        )
-                # repro: allow[RPQ103] wall-clock watchdog only; never feeds protocol state
-                if time.perf_counter() - started > _RUN_TIMEOUT_S:
-                    raise ExecutionError(
-                        "process backend run exceeded "
-                        f"{_RUN_TIMEOUT_S:.0f}s without concluding"
-                    )
-                continue
-            kind = msg[0]
-            if kind == "concluded":
-                # Double-confirmation makes any machine's conclusion a
-                # proof that global sent == processed: all sinks are
-                # complete, so stop every worker.
-                if not stopped:
-                    stopped = True
-                    for chan in inboxes:
-                        chan.put(_STOP)
-            elif kind == "error":
-                raise ExecutionError(
-                    f"process backend worker {msg[1]} failed:\n{msg[2]}"
-                )
-            else:  # ("result", worker_id, payload)
-                payloads[msg[1]] = msg[2]
-        return payloads
 
     def _merge(self, payloads, sinks, config, prof):
         """Fold worker payloads into the caller's sinks and stats."""
