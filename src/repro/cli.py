@@ -48,7 +48,9 @@ Observability (``repro.obs``): ``query --trace-out FILE`` records a
 span-level execution trace (``.jsonl`` extension selects the JSONL event
 log, anything else the Perfetto-loadable Chrome trace JSON) and
 ``--metrics-out FILE`` writes the metrics registry in Prometheus text
-format.  ``--timeline`` prints the per-round ASCII utilization timeline.
+format.  ``--timeline`` prints the per-round ASCII utilization timeline
+drawn from the same recorder (so, like the others, it needs the
+simulator backend).
 ``query --explain-analyze`` prints the EXPLAIN ANALYZE report (actual
 cardinalities beside planner estimates, wall-clock phase breakdown from
 :mod:`repro.obs.prof`) instead of result rows.
@@ -162,23 +164,19 @@ def cmd_query(args):
             file=sys.stderr,
         )
         return 2
-    if getattr(args, "backend", "sim") == "process" and (
-            observe or args.timeline):
-        print(
-            "error: --trace-out/--metrics-out/--timeline require "
-            "--backend sim (the process backend has no virtual-time "
-            "trace recorder)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         if args.engine == "rpqd":
+            # The timeline is drawn from the recorder's per-round work, so
+            # it observes the run too (and is simulator-only like it).
             result = engine.execute(
-                query, trace=args.timeline, observe=observe or None,
+                query, observe=(observe or args.timeline) or None,
                 profile=True if explain_analyze else None,
             )
         else:
             result = engine.execute(query)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         # Sessions may own process-backend resources (shared-memory CSR
         # segments); baseline engines have no close().
@@ -220,8 +218,10 @@ def cmd_query(args):
         )
         if hasattr(result.stats, "summary"):
             print(f"-- {result.stats.summary()}", file=sys.stderr)
-    if args.timeline and getattr(result, "trace", None) is not None:
-        print(result.trace.render_timeline(), file=sys.stderr)
+    if args.timeline:
+        from .obs import render_timeline
+
+        print(render_timeline(result.obs), file=sys.stderr)
     if observe:
         _export_observed(result, engine, args.trace_out, args.metrics_out)
     return 0
@@ -392,13 +392,6 @@ def cmd_workload(args):
         overrides["recovery"] = True
     if getattr(args, "deadline", None):
         overrides["deadline"] = args.deadline
-    if backend == "process" and args.timeline:
-        print(
-            "error: --timeline requires --backend sim (the process backend "
-            "has no virtual-time trace recorder)",
-            file=sys.stderr,
-        )
-        return 2
     from .errors import ConfigError
 
     try:
@@ -422,8 +415,8 @@ def cmd_workload(args):
             record = {"query": name}
             for ename, engine in engines.items():
                 if ename == "rpqd" and args.timeline:
-                    result = engine.execute(query, trace=True)
-                    timelines.append((name, result.trace))
+                    result = engine.execute(query, observe=True)
+                    timelines.append((name, result.obs))
                 else:
                     result = engine.execute(query)
                 latency = round(result.virtual_time, 1)
@@ -456,6 +449,9 @@ def cmd_workload(args):
                 )
             rows.append(row)
             records.append(record)
+    except ConfigError as exc:  # e.g. --timeline on the process backend
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         # The rpqd session may own process-backend resources (worker pool
         # bookkeeping, shared-memory CSR segments): release them even when
@@ -485,9 +481,11 @@ def cmd_workload(args):
             print("* PARTIAL results (incomplete run); latency is a lower bound")
     # With --json the timelines go to stderr so stdout stays parseable.
     out = sys.stderr if args.json else sys.stdout
-    for name, trace in timelines:
+    from .obs import render_timeline
+
+    for name, recorder in timelines:
         print(f"\n{name} timeline (rpqd, {args.machines} machines):", file=out)
-        print(trace.render_timeline(), file=out)
+        print(render_timeline(recorder), file=out)
     return 0
 
 
@@ -958,7 +956,8 @@ def build_parser():
     p.add_argument(
         "--timeline",
         action="store_true",
-        help="print the per-round ASCII utilization timeline (rpqd only)",
+        help="print the per-round ASCII utilization timeline (rpqd on the "
+        "sim backend; turns on the trace recorder)",
     )
     p.add_argument(
         "--explain-analyze",

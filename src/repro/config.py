@@ -13,6 +13,13 @@ from typing import Optional
 
 from .errors import ConfigError
 
+#: Default rounds between STATUS broadcasts (termination heartbeat),
+#: ``EngineConfig.status_interval``.
+STATUS_INTERVAL = 4
+#: Default rounds of zero progress tolerated before diagnosing a stall,
+#: ``EngineConfig.stall_limit``.
+STALL_LIMIT = 400
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -175,11 +182,12 @@ class EngineConfig:
             fail fast on invariant violations.  Also enabled by setting the
             ``REPRO_SANITIZE`` environment variable to a non-empty value
             other than ``0``.
-        schedule_seed: when set, permutes the scheduler's machine service
+        schedule_seed: when set, permutes the scheduler's host service
             order and each machine's worker service order per round with a
             deterministic RNG — the race-detector's interleaving knob
             (:mod:`repro.analysis.races`).  ``None`` keeps the canonical
-            deterministic order.
+            deterministic order.  Cluster-level: a query submitted to a
+            shared cluster must carry the cluster's seed.
         profile: attach the wall-clock phase profiler
             (:mod:`repro.obs.prof`): per-phase aggregate wall time for
             worker DFT expansion, network delivery/retransmit,
@@ -204,11 +212,10 @@ class EngineConfig:
             default from ``net_delay_rounds`` (no spurious retransmits on
             a healthy link).
         status_interval: rounds between STATUS broadcasts (termination
-            protocol heartbeat; previously the hard-coded scheduler
-            constant ``STATUS_INTERVAL``).
+            protocol heartbeat; default ``STATUS_INTERVAL``).
         stall_limit: rounds of zero progress tolerated before the
-            scheduler diagnoses a stall (previously hard-coded
-            ``STALL_LIMIT``).  Fault runs with long machine outages
+            scheduler diagnoses a stall (default ``STALL_LIMIT``).
+            Fault runs with long machine outages
             legitimately need more headroom.
         recovery: enable crash recovery (:mod:`repro.recovery`): epoch
             checkpoints of all recoverable query state ride the
@@ -220,10 +227,12 @@ class EngineConfig:
             permanent crashes keep PR 3's ``ResultSet.complete=False``
             behaviour.
         deadline: optional per-query deadline on the virtual clock, in
-            scheduler rounds.  When the deadline passes before the
-            termination protocol concludes, the run aborts cleanly with
-            ``ResultSet.complete=False`` and ``timed_out=True`` instead
-            of running unbounded under a pathological fault plan.
+            scheduler rounds since admission.  It is checked at the start
+            of each of the query's rounds: when round ``deadline + 1``
+            begins before the termination protocol concluded, the run
+            aborts cleanly with ``ResultSet.complete=False`` and
+            ``timed_out=True`` instead of running unbounded under a
+            pathological fault plan.
         max_rounds: safety cap on scheduler rounds before declaring a
             deadlock.
         max_concurrent_queries: queries the multi-query runtime
@@ -300,8 +309,8 @@ class EngineConfig:
     faults: Optional[object] = None
     reliable_transport: Optional[bool] = None
     retransmit_timeout_rounds: Optional[int] = None
-    status_interval: int = 4
-    stall_limit: int = 400
+    status_interval: int = STATUS_INTERVAL
+    stall_limit: int = STALL_LIMIT
     # Crash recovery (:mod:`repro.recovery`) and virtual-clock deadline.
     recovery: bool = False
     deadline: Optional[int] = None

@@ -67,8 +67,6 @@ class RPQdEngine:
     def explain(self, query):
         return self._session.explain(query)
 
-    def execute(self, query, config=None, trace=False, observe=None):
+    def execute(self, query, config=None, observe=None):
         """Execute and return a :class:`QueryResult` (see Session.execute)."""
-        return self._session.execute(
-            query, config=config, trace=trace, observe=observe
-        )
+        return self._session.execute(query, config=config, observe=observe)

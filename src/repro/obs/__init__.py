@@ -9,6 +9,8 @@ The observability layer of the engine (see ``docs/observability.md``):
   log, Prometheus text format;
 * :func:`validate_chrome_trace` — the trace consistency checker used by
   tests and CI;
+* :func:`render_timeline` / :func:`utilization` / :func:`imbalance` —
+  the per-round ASCII utilization timeline over a recorder;
 * :class:`PhaseProfiler` / :func:`peak_rss_bytes` — *wall-clock* phase
   profiling and process memory (``docs/profiling.md``), orthogonal to the
   virtual-time tracer and gated by ``EngineConfig(profile=True)``.
@@ -31,18 +33,22 @@ from .export import (
 from .metrics import MetricsRegistry
 from .prof import PhaseProfiler, format_profile, peak_rss_bytes, profiled
 from .recorder import Recorder
+from .timeline import imbalance, render_timeline, utilization
 
 __all__ = [
     "MetricsRegistry",
     "PhaseProfiler",
     "Recorder",
     "format_profile",
+    "imbalance",
     "peak_rss_bytes",
     "profiled",
     "jsonl_lines",
     "load_trace_file",
+    "render_timeline",
     "summarize_trace",
     "to_chrome_trace",
+    "utilization",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

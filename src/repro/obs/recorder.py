@@ -51,6 +51,7 @@ class Recorder:
         self._open_spans = {}  # (pid, tid) -> [name, ...] stack of open B events
         self._next_flow = 1
         self._last_counter = {}  # (pid, name) -> last emitted counter value
+        self.rounds = []  # [(round_no, [work per machine])] for the timeline
         if config is not None:
             self.configure(config.num_machines, config.quantum)
 
@@ -158,7 +159,9 @@ class Recorder:
     # Lifecycle
     # ------------------------------------------------------------------
     def record_round(self, round_no, consumed_per_machine):
-        """Round record from the scheduler: per-machine work counters."""
+        """Round record from the scheduler: per-machine work counters,
+        kept for the utilization timeline (:mod:`repro.obs.timeline`)."""
+        self.rounds.append((round_no, list(consumed_per_machine)))
         for m, consumed in enumerate(consumed_per_machine):
             self.counter(m, "work_units", round(consumed, 3))
 

@@ -1,12 +1,13 @@
 """Distributed runtime: simulated machines, messaging, flow control,
 termination detection, and the cooperative scheduler."""
 
+from ..config import STATUS_INTERVAL
+
 from .buffers import FlowControl, SHARED, remote_target_stages
 from .machine import Machine
 from .message import Batch, DoneMessage, StatusMessage
 from .multi import ClusterScheduler, QueryTask
 from .network import ClusterNetwork, SimulatedNetwork
-from .scheduler import QueryExecution, STATUS_INTERVAL
 from .stats import MachineStats, RunStats
 from .termination import TerminationEvaluator, TerminationProtocol, TerminationTracker
 from .worker import EvalState, Frame, Job, Worker
@@ -22,7 +23,6 @@ __all__ = [
     "Job",
     "Machine",
     "MachineStats",
-    "QueryExecution",
     "QueryTask",
     "RunStats",
     "SHARED",

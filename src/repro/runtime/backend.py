@@ -3,12 +3,11 @@
 :class:`~repro.session.Session` no longer constructs the discrete-time
 scheduler directly; it dispatches through an :class:`ExecutionBackend`:
 
-* :class:`SimBackend` — the existing deterministic discrete-time
-  simulator (:class:`~repro.runtime.scheduler.QueryExecution` solo,
-  :class:`~repro.runtime.multi.ClusterScheduler` concurrent), semantics
-  unchanged.  It remains the verification oracle: virtual rounds,
-  faults, recovery, membership, tracing, and the race detector all live
-  here.
+* :class:`SimBackend` — the deterministic discrete-time simulator: one
+  :class:`~repro.runtime.multi.ClusterScheduler` round loop, holding a
+  single task for each solo run and every submission for concurrent
+  ones.  It remains the verification oracle: virtual rounds, faults,
+  recovery, membership, tracing, and the race detector all live here.
 * :class:`ProcessBackend` — real parallelism.  Each partition's
   :class:`~repro.runtime.machine.Machine` loop runs in a persistent
   worker process; ``Batch``/``Done``/``Status`` frames are pickled onto
@@ -78,7 +77,7 @@ from ..graph.shm import SharedGraphStore, csr_nbytes, install_shared_csrs
 from ..plan.compiler import compile_query
 from .machine import Machine
 from .message import _seq
-from .scheduler import QueryExecution
+from .multi import ClusterScheduler
 from .stats import RunStats
 
 #: Coordinator's pool shutdown order on worker inboxes (a plain string
@@ -111,8 +110,7 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    def run(self, dgraph, plan, config, sinks, trace=None, recorder=None,
-            prof=None):
+    def run(self, dgraph, plan, config, sinks, recorder=None, prof=None):
         """Execute ``plan`` and fill ``sinks``.
 
         Returns ``(stats, partial, timed_out)`` where ``stats`` is a
@@ -136,18 +134,25 @@ class SimBackend(ExecutionBackend):
 
     name = "sim"
 
-    def run(self, dgraph, plan, config, sinks, trace=None, recorder=None,
-            prof=None):
-        execution = QueryExecution(
-            dgraph, plan, config, sink_factory=lambda m: sinks[m],
-            trace=trace, recorder=recorder, prof=prof,
+    def run(self, dgraph, plan, config, sinks, recorder=None, prof=None):
+        # A fresh one-task cluster: the query owns the cluster clock, and
+        # the caller's recorder, sanitizer and profiler also observe the
+        # cluster-level state (faults, membership, the round loop).
+        cluster = ClusterScheduler(
+            dgraph, config, recorder=recorder,
+            sanitizer=sanitizer_from_config(config, obs=recorder), prof=prof,
         )
-        stats = execution.run()
-        return stats, execution.partial, execution.timed_out
+        task = cluster.submit(plan, lambda m: sinks[m], obs=recorder)
+        cluster.run()
+        if task.error is not None:
+            raise task.error
+        if cluster.prof is not None:
+            # The task took its snapshot inside its last round's
+            # protocol phase; the loop is over now, so take all of it.
+            task.stats.profile = cluster.prof.summary()
+        return task.stats, task.partial, task.timed_out
 
     def open_cluster(self, dgraph, config):
-        from .multi import ClusterScheduler  # deferred: multi imports machine
-
         return ClusterScheduler(dgraph, config)
 
 
@@ -592,14 +597,7 @@ class ProcessBackend(ExecutionBackend):
                 prof.exit()
         return owned.pool
 
-    def run(self, dgraph, plan, config, sinks, trace=None, recorder=None,
-            prof=None):
-        if trace is not None:
-            raise ConfigError(
-                "trace=True is simulator-only: the per-round activity "
-                "timeline is defined on the virtual clock, which "
-                "backend='process' does not have — run backend='sim'"
-            )
+    def run(self, dgraph, plan, config, sinks, recorder=None, prof=None):
         if recorder is not None:
             raise ConfigError(
                 "observe is simulator-only for now: the span recorder "

@@ -39,7 +39,7 @@ class Batch:
     depth: int  # 0 for non-RPQ stages
     # Multi-query runtime (:mod:`repro.runtime.multi`): the id of the query
     # this batch belongs to.  Message channels, flow-control credits, and
-    # termination counters are all namespaced by it; solo runs use 0.
+    # termination counters are all namespaced by it.
     query_id: int = 0
     credit_key: object = None  # flow-control bucket that backed this send
     contexts: list = field(default_factory=list)  # [(vertex, ctx_list)]

@@ -39,9 +39,8 @@ Chaos, reliability, and recovery (docs/faults.md, docs/recovery.md)
     and only a confirmed verdict triggers the cluster-level partition
     failover (the shared :class:`~repro.recovery.HostMap`), which then
     rolls back **only the queries that lost state on that machine** —
-    co-resident queries without recovery degrade to partial results
-    exactly like the solo path, and queries admitted later simply
-    inherit the new placement.
+    co-resident queries without recovery degrade to partial results,
+    and queries admitted later simply inherit the new placement.
     The invariant (asserted in tests/test_concurrency_chaos.py): every
     admitted query's result set is bit-identical to its fault-free solo
     run.
@@ -54,11 +53,24 @@ Determinism
     perturbs the schedule, and the engine's result assembly is
     schedule-invariant (the property the race detector checks).
 
-Not supported concurrently (use the solo path): the race-detector
-``schedule_seed``, which perturbs and fingerprints the *whole* cluster's
-service order and is only meaningful with exclusive cluster ownership.
+Race detector
+    ``schedule_seed`` is a cluster-level setting, like the fault plan: its
+    seeded rng permutes the host service order of every round and the
+    worker order inside each slice, and accumulates the cluster's
+    ``schedule_fingerprint``.  A submitted query may not bring a
+    different seed.
+
+One loop
+    ``Session.execute`` runs on a fresh one-task :class:`ClusterScheduler`
+    (``SimBackend.run``), so :meth:`ClusterScheduler.step` is the only
+    virtual-round loop.  A query's deadline and round cap are checked at
+    the start of its round, before delivery and compute, so an expired
+    query never spends quantum its co-resident queries could use.  After
+    a failover a host running several logical machines splits its quantum
+    across them with the same work-conserving passes as across queries.
 """
 
+import random
 import time
 
 from ..analysis.sanitizer import sanitizer_from_config
@@ -81,33 +93,31 @@ _SHARE_EPSILON = 1e-6
 _MAX_PASSES = 4
 
 
-def _check_concurrent_config(config, cluster=None):
+def _check_concurrent_config(config, cluster):
     """The concurrent supported-feature matrix.
 
     Fault injection, reliable transport, and crash recovery are all
-    supported concurrently; the fault *plan* is cluster-level (one
-    interconnect, one set of machines — chaos cannot be private to a
-    query), so a submitted query may omit it or restate the cluster's own
-    plan, but not bring a different one.  The race-detector
-    ``schedule_seed`` remains solo-only.
+    supported concurrently.  The fault *plan* and the race-detector
+    ``schedule_seed`` are cluster-level (one interconnect, one set of
+    machines, one service order), so a submitted query may omit the plan
+    or restate the cluster's own, and must carry the cluster's seed.
     """
-    if config.schedule_seed is not None:
+    if config.schedule_seed != cluster.schedule_seed:
         raise ConfigError(
-            "schedule_seed (race-detector mode) is not supported by the "
-            "concurrent scheduler: the detector permutes and fingerprints "
-            "the whole cluster's service order, which is only meaningful "
-            "when one query owns the cluster clock; perturb solo runs "
-            "via Session.execute instead"
+            f"schedule_seed={config.schedule_seed!r} differs from the "
+            f"cluster's {cluster.schedule_seed!r}: the race detector "
+            "permutes and fingerprints the whole cluster's service order, "
+            "so the seed is cluster-level — set it in the session config "
+            "(Session.execute runs on a cluster of its own)"
         )
-    if cluster is not None and config.faults is not None:
-        if config.faults != cluster.faults:
-            raise ConfigError(
-                "per-query fault plans are not supported: faults live on "
-                "the shared interconnect and machines, so the plan is "
-                "cluster-level — pass it in the session/cluster base "
-                "config (a submitted query may restate that same plan "
-                "or leave faults unset)"
-            )
+    if config.faults is not None and config.faults != cluster.config.faults:
+        raise ConfigError(
+            "per-query fault plans are not supported: faults live on "
+            "the shared interconnect and machines, so the plan is "
+            "cluster-level — pass it in the session/cluster base "
+            "config (a submitted query may restate that same plan "
+            "or leave faults unset)"
+        )
 
 
 class QueryTask:
@@ -139,8 +149,7 @@ class QueryTask:
         # repro: allow[RPQ103] wall-clock reporting only (RunStats.wall_seconds); never feeds protocol state
         self.started = time.perf_counter()
         self.concluded = [False] * config.num_machines
-        # Shared progress-tracking path (same class the solo scheduler
-        # uses): reset at admission and after every rollback.
+        # Progress clock: reset at admission and after every rollback.
         self.watchdog = ProgressWatchdog(config.stall_limit)
         # Cluster-level membership detector (set by the scheduler at
         # submit time; None on a fault-free cluster).
@@ -180,6 +189,12 @@ class QueryTask:
         return all(s.is_quiescent() for s in self.slices)
 
     def _diagnose_stall(self, round_no):
+        if self.obs is not None:
+            self.obs.cluster_instant(
+                "scheduler.stall",
+                args={"round": self.local_round(round_no)},
+                round_no=self.local_round(round_no),
+            )
         if self.is_quiescent():
             raise ExecutionError(
                 f"termination protocol for query {self.query_id} failed to "
@@ -201,7 +216,7 @@ class QueryTask:
         The channel carries no other query's traffic and is closed right
         after, so draining it ahead of the global clock is safe: deliver
         the in-flight DONE credit returns, then audit credit conservation
-        and final counter equality exactly like the solo scheduler.  Under
+        and final counter equality.  Under
         reliable transport a dropped frame may be nowhere in the queues
         yet (awaiting its retransmit timer): settling mode bypasses fault
         verdicts and fast-retransmits so the audit drains
@@ -238,8 +253,12 @@ class QueryTask:
         if self.recovery is not None:
             self.recovery.release()
 
-    def finalize(self, round_no):
-        """Build this query's :class:`RunStats`; rounds are query-local."""
+    def finalize(self, round_no, cluster):
+        """Build this query's :class:`RunStats`; rounds are query-local.
+
+        ``cluster`` supplies the cluster-level epilogue: the shared
+        injector's fault counts and the race detector's fingerprint.
+        """
         local = self.local_round(round_no)
         if self.sanitizer is not None and not self.partial:
             # The settle drain runs on a private clock continuing from the
@@ -254,12 +273,18 @@ class QueryTask:
             time.perf_counter() - self.started,
             self.config,
             quiescent_round=self.quiescent_round,
+            schedule_fingerprint=cluster.schedule_fingerprint,
             timed_out=self.timed_out,
             partial=self.partial,
             down_machines=self.down_machines,
             transport=(
                 self.channel.transport_summary()
                 if self.channel.reliable
+                else None
+            ),
+            fault_events=(
+                cluster.injector.summary()
+                if cluster.injector is not None
                 else None
             ),
             recovery=(
@@ -283,29 +308,42 @@ class ClusterScheduler:
     """Runs many queries concurrently on one simulated cluster.
 
     The scheduler owns the cluster shape (machine count, quantum, network
-    delay) via ``base_config`` — including the fault plan, when there is
-    one; each submitted query brings its own
-    :class:`~repro.config.EngineConfig` whose cluster-shape fields must
-    match.  Call :meth:`submit` any number of times, then :meth:`run`
-    (or :meth:`step` round by round); finished tasks carry their
-    :class:`RunStats` and filled sinks.
+    delay) via ``base_config`` — including the fault plan and the
+    race-detector seed, when there are any; each submitted query brings
+    its own :class:`~repro.config.EngineConfig` whose cluster-shape
+    fields must match.  Call :meth:`submit` any number of times, then
+    :meth:`run` (or :meth:`step` round by round); finished tasks carry
+    their :class:`RunStats` and filled sinks.
+
+    ``recorder``, ``sanitizer`` and ``prof`` observe cluster-level state
+    (fault, membership and retransmit events, membership invariants,
+    the round loop's phases); ``Session.execute`` passes its own so they
+    fire on a solo run exactly as on the query itself.
     """
 
-    def __init__(self, dgraph, base_config):
-        _check_concurrent_config(base_config)
+    def __init__(self, dgraph, base_config, recorder=None, sanitizer=None,
+                 prof=None):
         self.dgraph = dgraph
         self.config = base_config
-        if base_config.profile:
+        if prof is None and base_config.profile:
             from ..obs.prof import PhaseProfiler  # deferred: obs is optional
 
-            self.prof = PhaseProfiler()
-        else:
-            self.prof = None
+            prof = PhaseProfiler()
+        self.prof = prof
         if dgraph.num_machines != base_config.num_machines:
             raise ExecutionError(
                 f"graph partitioned for {dgraph.num_machines} machines but "
                 f"config requests {base_config.num_machines}"
             )
+        # Race-detector mode: one seeded rng permutes the whole cluster's
+        # service order; None keeps the canonical schedule.
+        self.schedule_seed = base_config.schedule_seed
+        self._sched_rng = (
+            random.Random(self.schedule_seed)
+            if self.schedule_seed is not None
+            else None
+        )
+        self.schedule_fingerprint = None
         # One shared seeded injector: all co-resident queries see the same
         # lossy interconnect and the same machine outages.  Fault-plan
         # crash/stall rounds are *global* cluster rounds.
@@ -313,7 +351,7 @@ class ClusterScheduler:
             from ..faults import FaultInjector  # deferred: avoids import cycle
 
             self.injector = FaultInjector(
-                base_config.faults, base_config.num_machines
+                base_config.faults, base_config.num_machines, obs=recorder
             )
         else:
             self.injector = None
@@ -325,7 +363,8 @@ class ClusterScheduler:
             from ..membership import MembershipService
 
             self.membership = MembershipService.from_config(
-                base_config, injector=self.injector
+                base_config, injector=self.injector, obs=recorder,
+                sanitizer=sanitizer,
             )
         else:
             self.membership = None
@@ -348,7 +387,7 @@ class ClusterScheduler:
         self.round_no = 0
         self.active = []  # admission order
         self.pending = []  # bounded FIFO of not-yet-admitted QueryTasks
-        self._next_query_id = 1  # 0 is the solo path's id
+        self._next_query_id = 1
         self.admitted = 0
         self.rejected = 0
 
@@ -362,7 +401,7 @@ class ClusterScheduler:
         the pending queue are both full.
         """
         config = self.config if config is None else config
-        _check_concurrent_config(config, cluster=self.config)
+        _check_concurrent_config(config, self)
         if config.num_machines != self.config.num_machines:
             raise ConfigError(
                 f"query config requests {config.num_machines} machines but "
@@ -408,8 +447,7 @@ class ClusterScheduler:
             sanitizer=sanitizer, obs=obs, prof=self.prof,
         )
         # Recovery is only meaningful when something can crash: without an
-        # injector the manager (and its checkpoints) is skipped, exactly
-        # like the solo path.
+        # injector the manager (and its checkpoints) is skipped.
         if config.recovery and self.injector is not None:
             from ..recovery import RecoveryManager  # deferred: import cycle
 
@@ -574,6 +612,21 @@ class ClusterScheduler:
         prof = self.prof
         injector = self.injector
 
+        # Round prologue on each query's own clock: round cap and
+        # deadline first, so an expired query leaves before it receives
+        # or computes anything; then the recorder's virtual clock.
+        for task in self.active:
+            config = task.config
+            local = task.local_round(round_no)
+            if local > config.max_rounds or (
+                config.deadline is not None and local > config.deadline
+            ):
+                self._guarded(self._expire, task, round_no, finished)
+            elif task.obs is not None:
+                task.obs.begin_round(local)
+        if finished:
+            self._retire(finished, round_no)
+
         # Fault prologue: crashes fire on the shared cluster clock and
         # hit every co-resident query at once.
         if injector is not None:
@@ -613,11 +666,19 @@ class ClusterScheduler:
 
         # Execution phase: split each physical host's quantum fairly
         # across the query slices it currently runs (after a failover one
-        # host may run several logical machines of the same query).
+        # host may run several logical machines of the same query).  The
+        # race detector permutes the host order.
         if prof is not None:
             prof.enter("sched.compute")
-        consumed_by_task = {task.query_id: 0.0 for task in self.active}
-        for host in range(self.config.num_machines):
+        rng = self._sched_rng
+        hosts = range(self.config.num_machines)
+        if rng is not None:
+            hosts = rng.sample(hosts, len(hosts))
+            self.schedule_fingerprint = hash(
+                (self.schedule_fingerprint, tuple(hosts))
+            )
+        used = {}  # (query_id, logical) -> cost units this round
+        for host in hosts:
             slices = []
             for task in self.active:
                 for logical in self._hosted_logicals(task, host):
@@ -628,11 +689,12 @@ class ClusterScheduler:
                 for _task, s in slices:
                     s.stats.stalled_rounds += 1
                 continue
-            used_total = self._run_machine_round(host, round_no, slices)
-            for task, s in slices:
-                consumed_by_task[task.query_id] += used_total[
-                    (task.query_id, s.id)
-                ]
+            self._run_machine_round(round_no, slices, used, rng)
+        consumed_by_task = {}
+        for (query_id, _logical), units in used.items():
+            consumed_by_task[query_id] = (
+                consumed_by_task.get(query_id, 0.0) + units
+            )
         if prof is not None:
             prof.exit()
 
@@ -644,8 +706,14 @@ class ClusterScheduler:
         # all on the query's own clock (rounds since admission).
         if prof is not None:
             prof.enter("sched.protocol")
-        for task in list(self.active):
-            if consumed_by_task[task.query_id] > 0.0:
+        ended = []
+        for task in self.active:
+            if task.obs is not None:
+                task.obs.record_round(
+                    task.local_round(round_no),
+                    [used.get((task.query_id, s.id), 0.0) for s in task.slices],
+                )
+            if consumed_by_task.get(task.query_id, 0.0) > 0.0:
                 task.watchdog.observe(round_no, True)
                 task.quiescent_round = None
             else:
@@ -655,21 +723,37 @@ class ClusterScheduler:
                 # detector's unconfirmed suspicions reset the progress
                 # clock (hosts may come back, retransmissions pending).
                 task.watchdog.observe(round_no, False, membership)
-            try:
-                if self._drive_protocol(task, round_no):
-                    finished.append(task)
-            except ExecutionError as error:
-                # The failure belongs to one query, not the cluster: park
-                # it on the task (re-raised by QueryHandle.result) and let
-                # the other queries keep running.
-                task.error = error
-                task.partial = True
-                task.finalize(round_no)
-                finished.append(task)
+            self._guarded(self._drive_protocol, task, round_no, ended)
         if prof is not None:
             prof.exit()
 
-        for task in finished:
+        if ended:
+            self._retire(ended, round_no)
+            finished.extend(ended)
+        if finished:
+            self._admit()
+        return finished
+
+    def _guarded(self, phase, task, round_no, finished):
+        """Run ``phase(task, round_no)``; collect ``task`` if it finished.
+
+        An :class:`ExecutionError` belongs to one query, not the cluster:
+        it is parked on the task (re-raised by ``QueryHandle.result`` and
+        ``SimBackend.run``) and the other queries keep running.
+        """
+        try:
+            done = phase(task, round_no)
+        except ExecutionError as error:
+            task.error = error
+            task.partial = True
+            task.finalize(round_no, self)
+            done = True
+        if done:
+            finished.append(task)
+
+    def _retire(self, tasks, round_no):
+        """Take finished tasks off the cluster and close their channels."""
+        for task in tasks:
             self.active.remove(task)
             self.network.close_channel(task.query_id)
             if task.obs is not None:
@@ -678,25 +762,25 @@ class ClusterScheduler:
                     args={
                         "query": task.query_id,
                         "rounds": task.stats.rounds if task.stats else None,
+                        "quiescent_round": task.quiescent_round,
                     },
                     round_no=task.local_round(round_no),
                 )
-        if finished:
-            self._admit()
-        return finished
 
-    def _run_machine_round(self, host, round_no, slices):
-        """Fair work-conserving quantum split on physical host ``host``.
+    def _run_machine_round(self, round_no, slices, used, rng):
+        """Fair work-conserving quantum split on one physical host.
 
         Pass 1 offers every slice an equal share of the quantum; slices
         that consume (almost) their whole share are *hungry* and split
         whatever the others left idle in further passes.  Busy/idle round
-        accounting is charged once per slice at the end, on its total.
-        Keys are ``(query_id, slice.id)``: after a failover one host can
-        legitimately run two slices of the same query.
+        accounting is charged once per slice at the end, on its total,
+        which lands in ``used`` under ``(query_id, slice.id)``: after a
+        failover one host can legitimately run two slices of the same
+        query.
         """
         remaining = self.config.quantum
-        used_total = {(task.query_id, s.id): 0.0 for task, s in slices}
+        for task, s in slices:
+            used[(task.query_id, s.id)] = 0.0
         hungry = list(slices)
         passes = 0
         while hungry and remaining > self.config.quantum * _SHARE_EPSILON:
@@ -704,10 +788,10 @@ class ClusterScheduler:
             spent_this_pass = 0.0
             still_hungry = []
             for task, s in hungry:
-                used = s.run_slice(round_no, share)
-                used_total[(task.query_id, s.id)] += used
-                spent_this_pass += used
-                if used >= share * (1.0 - _SHARE_EPSILON):
+                spent = s.run_slice(round_no, share, rng=rng)
+                used[(task.query_id, s.id)] += spent
+                spent_this_pass += spent
+                if spent >= share * (1.0 - _SHARE_EPSILON):
                     still_hungry.append((task, s))
             remaining = max(0.0, remaining - spent_this_pass)
             hungry = still_hungry
@@ -715,35 +799,50 @@ class ClusterScheduler:
             if passes >= _MAX_PASSES:
                 break
         for task, s in slices:
-            s.account_round(used_total[(task.query_id, s.id)])
-        return used_total
+            s.account_round(used[(task.query_id, s.id)])
 
-    def _drive_protocol(self, task, round_no):
-        """Heartbeats / termination / watchdogs for one task.
+    def _expire(self, task, round_no):
+        """End a task whose round cap or deadline has passed.
 
-        Returns True when the task finished this round (concluded,
-        deadline-expired, or degraded to partial results on a permanent
-        unrecovered crash); raises on stall or round-cap breach.
+        Past the deadline the task finishes with whatever rows its
+        machines produced, flagged incomplete and timed out, before it
+        receives or computes anything this round; past the round cap it
+        fails.
         """
         local = task.local_round(round_no)
         config = task.config
-        membership = self.membership
         if local > config.max_rounds:
             raise ExecutionError(
                 f"query {task.query_id} exceeded max_rounds="
                 f"{config.max_rounds} (runaway query or configuration "
                 "too tight)"
             )
-        if config.deadline is not None and local > config.deadline:
-            task.partial = True
-            task.timed_out = True
-            if membership is not None:
-                # The *detected* dead, not ground truth: a crash the
-                # detector had not confirmed by the deadline is
-                # indistinguishable from slowness.
-                task.down_machines = membership.confirmed_down()
-            task.finalize(round_no)
-            return True
+        task.partial = True
+        task.timed_out = True
+        if self.membership is not None:
+            # The *detected* dead, not ground truth: a crash the detector
+            # had not confirmed by the deadline is indistinguishable from
+            # slowness.
+            task.down_machines = self.membership.confirmed_down()
+        if task.obs is not None:
+            task.obs.cluster_instant(
+                "scheduler.deadline",
+                args={"deadline": config.deadline, "round": local},
+                round_no=local,
+            )
+        task.finalize(round_no, self)
+        return True
+
+    def _drive_protocol(self, task, round_no):
+        """Heartbeats / termination / watchdogs for one task.
+
+        Returns True when the task finished this round (concluded, or
+        degraded to partial results on a permanent unrecovered crash);
+        raises on stall.
+        """
+        local = task.local_round(round_no)
+        config = task.config
+        membership = self.membership
         if local % config.status_interval == 0:
             for s in task.slices:
                 if not self._slice_up(task, s.id, round_no):
@@ -762,7 +861,13 @@ class ClusterScheduler:
                     task.concluded[s.id] = s.check_termination()
                 done = done and task.concluded[s.id]
             if done:
-                task.finalize(round_no)
+                if task.obs is not None:
+                    task.obs.cluster_instant(
+                        "termination.concluded",
+                        args={"round": local},
+                        round_no=local,
+                    )
+                task.finalize(round_no, self)
                 return True
             if task.recovery is not None:
                 # Checkpoint cadence rides this query's own termination
@@ -780,7 +885,13 @@ class ClusterScheduler:
                 # survivors produced, flagged incomplete.
                 task.partial = True
                 task.down_machines = hosts
-                task.finalize(round_no)
+                if task.obs is not None:
+                    task.obs.cluster_instant(
+                        "scheduler.partial",
+                        args={"down": list(hosts), "round": local},
+                        round_no=local,
+                    )
+                task.finalize(round_no, self)
                 return True
             if verdict == "quorum":
                 raise quorum_lost_error(hosts, round_no, config.stall_limit)

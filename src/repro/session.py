@@ -5,7 +5,7 @@ Typical use::
     import repro
 
     with repro.connect(graph, num_machines=4) as session:
-        # Blocking, full-featured (faults, recovery, tracing):
+        # Blocking, with exclusive use of the cluster:
         result = session.execute(
             "SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS{1,3}/->(b)"
         )
@@ -17,14 +17,15 @@ Typical use::
 
 ``execute`` runs one query with exclusive ownership of the cluster,
 dispatched through the session's :class:`~repro.runtime.backend.
-ExecutionBackend` — the deterministic simulator by default (the solo
-:class:`~repro.runtime.scheduler.QueryExecution` path, the only one
-supporting the race detector's ``schedule_seed``), or real OS processes
-with ``repro.connect(graph, backend="process")`` (docs/backends.md).
-``submit`` hands the query to the shared :class:`~repro.runtime.multi.
-ClusterScheduler`, where it interleaves with every other in-flight
-submission under fair per-machine quantum sharing; the returned
-:class:`QueryHandle` drives the cluster forward on demand.  Both paths
+ExecutionBackend` — the deterministic simulator by default (a fresh
+one-task :class:`~repro.runtime.multi.ClusterScheduler`), or real OS
+processes with ``repro.connect(graph, backend="process")``
+(docs/backends.md).  ``submit`` hands the query to the session's shared
+:class:`~repro.runtime.multi.ClusterScheduler`, where it interleaves
+with every other in-flight submission under fair per-machine quantum
+sharing; the returned :class:`QueryHandle` drives the cluster forward on
+demand.  On the simulator both run the same round loop, so one query
+gives the same result, statistics and trace either way.  Both paths
 support fault injection, reliable transport, and crash recovery: on the
 concurrent path the fault plan lives in the *session* config (chaos is
 cluster-level — one interconnect, shared machines), while ARQ state,
@@ -47,7 +48,6 @@ from .plan.cache import PlanCache
 from .plan.compiler import compile_query
 from .plan.explain import explain as explain_plan
 from .runtime.backend import backend_from_config
-from .runtime.trace import ExecutionTrace
 
 
 def connect(graph, config=None, partitioner="hash", **overrides):
@@ -150,7 +150,7 @@ class Session:
         self.plan_cache = PlanCache()
         self._backend = backend_from_config(self.config)
         self._scheduler = None
-        self._handles = []
+        self._handles = []  # unfinished submissions, for close() to cancel
         self._closed = False
 
     @property
@@ -167,8 +167,7 @@ class Session:
             return
         self._closed = True
         for handle in self._handles:
-            if not handle.done():
-                handle.cancel()
+            handle.cancel()
         self._handles = []
         self._scheduler = None
         self._backend.close()
@@ -220,20 +219,19 @@ class Session:
     # ------------------------------------------------------------------
     # Solo execution (exclusive cluster ownership)
     # ------------------------------------------------------------------
-    def execute(self, query, config=None, trace=False, observe=None, profile=None):
+    def execute(self, query, config=None, observe=None, profile=None):
         """Execute one query to completion and return a :class:`QueryResult`.
 
         ``config`` overrides the session's configuration for this run (used
         by benchmarks to sweep machine counts etc.); a differing
-        ``num_machines`` triggers a re-partition here.  With ``trace=True``
-        (or an :class:`~repro.runtime.trace.ExecutionTrace` instance) the
-        result carries a per-round activity timeline in ``result.trace``.
+        ``num_machines`` triggers a re-partition here.
 
         ``observe`` attaches the structured tracer/metrics recorder
         (:mod:`repro.obs`): ``True`` creates a fresh
         :class:`~repro.obs.Recorder`, an instance is used as-is, and
         ``None`` defers to ``config.observe``.  The recorder is returned on
-        ``result.obs`` for export (Perfetto / JSONL / Prometheus).
+        ``result.obs`` for export (Perfetto / JSONL / Prometheus) and for
+        the per-round timeline (:func:`repro.obs.render_timeline`).
 
         ``profile`` attaches the wall-clock phase profiler
         (:mod:`repro.obs.prof`) the same way: ``True`` creates a fresh
@@ -248,10 +246,6 @@ class Session:
             dgraph = DistributedGraph(self.graph, run_config.num_machines)
         plan = self.compile(query)
         sinks = [MachineSink(plan) for _ in range(run_config.num_machines)]
-        if trace is True:
-            trace = ExecutionTrace()
-        elif trace is False:
-            trace = None
         if observe is None:
             observe = run_config.observe
         if observe is True:
@@ -281,8 +275,7 @@ class Session:
             backend = backend_from_config(run_config)
         try:
             stats, partial, timed_out = backend.run(
-                dgraph, plan, run_config, sinks,
-                trace=trace, recorder=recorder, prof=prof,
+                dgraph, plan, run_config, sinks, recorder=recorder, prof=prof,
             )
         finally:
             if backend is not self._backend:
@@ -293,7 +286,7 @@ class Session:
             complete=not partial,
             timed_out=timed_out,
         )
-        return QueryResult(result_set, stats, plan, trace=trace, obs=recorder)
+        return QueryResult(result_set, stats, plan, obs=recorder)
 
     # ------------------------------------------------------------------
     # Concurrent execution (shared cluster)
@@ -306,14 +299,13 @@ class Session:
         ``timed_out`` with whatever rows were produced.  Raises
         :class:`~repro.errors.AdmissionError` when both the concurrency
         limit and the bounded pending queue are full, and
-        :class:`~repro.errors.ConfigError` for the per-query options the
-        concurrent scheduler does not support: ``schedule_seed`` (the race
-        detector owns the whole cluster clock — use :meth:`execute`), and
-        a per-query fault plan differing from the session's (chaos is
-        cluster-level).  ``recovery=True`` in the query or session config
-        arms per-query checkpoints/rollback; cancelling or
-        deadline-expiring the handle releases them without perturbing
-        co-resident queries.
+        :class:`~repro.errors.ConfigError` for per-query settings that
+        differ from the session's cluster-level ones: ``schedule_seed``
+        (the race detector permutes the whole cluster's service order)
+        and the fault plan (chaos is cluster-level).  ``recovery=True``
+        in the query or session config arms per-query
+        checkpoints/rollback; cancelling or deadline-expiring the handle
+        releases them without perturbing co-resident queries.
         """
         self._check_open()
         run_config = config or self.config
@@ -343,15 +335,26 @@ class Session:
             self, task, plan, sinks,
             query if isinstance(query, str) else None,
         )
+        self._prune_handles()
         self._handles.append(handle)
         return handle
 
+    def _prune_handles(self):
+        """Forget finished handles: a long-lived session must not keep
+        every past query's task and machine state alive."""
+        self._handles = [h for h in self._handles if not h.done()]
+
     def drain(self):
-        """Run the shared cluster until every submitted query finished."""
+        """Run the shared cluster until every submitted query finished.
+
+        Returns the handles this call drove to completion.
+        """
         self._check_open()
+        drained = [h for h in self._handles if not h.done()]
         if self._scheduler is not None:
             self._scheduler.run()
-        return [h for h in self._handles if h.done()]
+        self._prune_handles()
+        return drained
 
     @property
     def cluster_rounds(self):
@@ -375,6 +378,7 @@ class Session:
     def _drive(self, task):
         while not task.finished:
             self._scheduler.step()
+        self._prune_handles()
 
     def _cancel(self, task):
         if self._scheduler is None:

@@ -24,7 +24,7 @@ from repro.plan import compile_query
 from repro.rpq.reachability import IndexOutcome, ReachabilityIndex
 from repro.runtime.buffers import FlowControl
 from repro.runtime.machine import Machine
-from repro.runtime.scheduler import QueryExecution
+from repro.runtime.multi import ClusterScheduler
 from repro.runtime.stats import MachineStats
 from repro.runtime.termination import TerminationProtocol, TerminationTracker
 
@@ -278,11 +278,11 @@ class TestEndToEnd:
         engine = RPQdEngine(graph, config)
         plan = engine.compile(query)
         sinks = [MachineSink(plan) for _ in range(config.num_machines)]
-        execution = QueryExecution(
-            engine.dgraph, plan, config, sink_factory=lambda m: sinks[m]
-        )
-        stats = execution.run()
-        return execution, stats
+        cluster = ClusterScheduler(engine.dgraph, config)
+        execution = cluster.submit(plan, lambda m: sinks[m])
+        cluster.run()
+        assert execution.error is None
+        return execution, execution.stats
 
     def test_tier1_workload_clean_under_sanitizer(self, graph):
         config = CONFIG.with_(sanitize=True)

@@ -165,11 +165,6 @@ class TestFeatureMatrix:
         with pytest.raises(ConfigError, match="backend='sim'"):
             EngineConfig(backend="process", recovery=True)
 
-    def test_trace_rejected_at_execute(self):
-        with connect(random_graph(30, 60), backend="process") as session:
-            with pytest.raises(ConfigError, match="simulator-only"):
-                session.execute(COUNT_Q, trace=True)
-
     def test_observe_rejected_at_execute(self):
         with connect(random_graph(30, 60), backend="process") as session:
             with pytest.raises(ConfigError, match="simulator-only"):

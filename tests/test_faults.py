@@ -137,8 +137,8 @@ class TestConfig:
             EngineConfig(retransmit_timeout_rounds=0)
 
     def test_scheduler_constants_still_exported(self):
+        from repro.config import STALL_LIMIT
         from repro.runtime import STATUS_INTERVAL
-        from repro.runtime.scheduler import STALL_LIMIT
 
         assert EngineConfig().status_interval == STATUS_INTERVAL
         assert EngineConfig().stall_limit == STALL_LIMIT

@@ -456,6 +456,48 @@ class TestObservabilityCli:
         err = capsys.readouterr().err
         assert "utilization:" in err
 
+    def test_query_timeline_one_row_per_machine(self, graph_file, capsys):
+        from repro.cli import main
+
+        rc = main([
+            "query", str(graph_file),
+            "SELECT COUNT(*) FROM MATCH (a:Person)-/:KNOWS{1,2}/->(b:Person)",
+            "--machines", "3", "--timeline",
+        ])
+        assert rc == 0
+        rows = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("M") and "|" in line
+        ]
+        assert [row.split()[0] for row in rows] == ["M0", "M1", "M2"]
+
+    def test_timeline_rejected_on_process_backend(self, graph_file, tmp_path,
+                                                  capsys):
+        """--timeline observes the run, so the process backend refuses it
+        with the same ConfigError as --trace-out."""
+        from repro.cli import main
+
+        query = "SELECT COUNT(*) FROM MATCH (a:Person)"
+        rc = main([
+            "query", str(graph_file), query, "--backend", "process",
+            "--trace-out", str(tmp_path / "t.json"),
+        ])
+        assert rc == 2
+        observe_error = capsys.readouterr().err
+        assert "simulator-only" in observe_error
+        rc = main([
+            "query", str(graph_file), query, "--backend", "process",
+            "--timeline",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == observe_error
+        rc = main([
+            "workload", "--scale", "xs", "--machines", "2",
+            "--backend", "process", "--timeline",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == observe_error
+
     def test_observe_requires_rpqd(self, graph_file, tmp_path, capsys):
         from repro.cli import main
 
@@ -510,3 +552,6 @@ class TestObservabilityCli:
         out = capsys.readouterr().out
         assert "timeline (rpqd, 2 machines):" in out
         assert "utilization:" in out
+        first = out.split("timeline (rpqd, 2 machines):")[1].splitlines()
+        assert [line.split()[0] for line in first[1:3]] == ["M0", "M1"]
+        assert first[3].startswith("    rounds 1..")

@@ -1,7 +1,9 @@
 """Tests for the Session/QueryHandle API, the plan cache, and the
 deprecated RPQdEngine shim."""
 
+import gc
 import warnings
+import weakref
 
 import pytest
 
@@ -137,6 +139,28 @@ class TestSubmit:
         handle = session.submit(RPQ_Q)
         session.close()
         assert handle.cancelled()
+
+    def test_finished_handle_is_not_retained(self):
+        """The session keeps only unfinished handles: once a result is
+        read and the caller drops the handle, its task and per-machine
+        state are freed."""
+        session = connect(chain_graph(8), num_machines=2)
+        handle = session.submit(RPQ_Q)
+        handle.result()
+        task = weakref.ref(handle._task)
+        del handle
+        gc.collect()
+        assert task() is None
+        session.close()
+
+    def test_drain_returns_the_handles_it_finished(self):
+        session = connect(chain_graph(8), num_machines=2)
+        first = session.submit(COUNT_Q)
+        first.result()
+        rest = [session.submit(RPQ_Q), session.submit(COUNT_Q)]
+        assert session.drain() == rest
+        assert all(h.done() for h in rest)
+        assert session.drain() == []
 
 
 class TestPlanCache:

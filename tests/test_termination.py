@@ -192,31 +192,37 @@ class TestProtocolEndToEnd:
 
     def test_protocol_with_delayed_status_messages(self):
         from repro.engine.result import MachineSink
-        from repro.runtime.scheduler import QueryExecution
+        from repro.runtime.multi import ClusterScheduler
 
         g = chain_graph(12)
         eng = RPQdEngine(g, EngineConfig(num_machines=3))
         plan = eng.compile("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
         sinks = [MachineSink(plan) for _ in range(3)]
-        ex = QueryExecution(eng.dgraph, plan, eng.config, lambda m: sinks[m])
+        cluster = ClusterScheduler(eng.dgraph, eng.config)
+        task = cluster.submit(plan, lambda m: sinks[m])
         from repro.runtime.message import StatusMessage
 
-        ex.network.extra_delay_fn = (
+        task.channel.extra_delay_fn = (
             lambda m: 7 if isinstance(m, StatusMessage) and m.seq % 3 == 0 else 0
         )
-        stats = ex.run()
+        cluster.run()
+        assert task.error is None
+        stats = task.stats
         assert stats.outputs == 66  # 45 pairs... depends; see below
 
     def test_duplicated_status_messages_are_harmless(self):
         from repro.engine.result import MachineSink
-        from repro.runtime.scheduler import QueryExecution
+        from repro.runtime.multi import ClusterScheduler
         from repro.runtime.message import StatusMessage
 
         g = chain_graph(12)
         eng = RPQdEngine(g, EngineConfig(num_machines=3))
         plan = eng.compile("SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)")
         sinks = [MachineSink(plan) for _ in range(3)]
-        ex = QueryExecution(eng.dgraph, plan, eng.config, lambda m: sinks[m])
-        ex.network.duplicate_fn = lambda m: isinstance(m, StatusMessage)
-        stats = ex.run()
+        cluster = ClusterScheduler(eng.dgraph, eng.config)
+        task = cluster.submit(plan, lambda m: sinks[m])
+        task.channel.duplicate_fn = lambda m: isinstance(m, StatusMessage)
+        cluster.run()
+        assert task.error is None
+        stats = task.stats
         assert stats.outputs == 66

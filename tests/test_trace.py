@@ -1,92 +1,98 @@
-"""Tests for the execution tracer and its timeline rendering."""
+"""Tests for the per-round work log and its timeline rendering."""
 
 from repro import EngineConfig, RPQdEngine
-from repro.datagen import mini_ldbc
 from repro.graph.generators import chain_graph, random_graph
-from repro.runtime.trace import ExecutionTrace
+from repro.obs import Recorder, imbalance, render_timeline, utilization
 
 
 class TestRecorder:
     def test_records_rounds(self):
         g = chain_graph(10)
         r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", trace=True
+            "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", observe=True
         )
-        assert r.trace is not None
-        assert len(r.trace.rounds) == r.stats.rounds
-        assert r.trace.num_machines == 2
+        assert r.obs is not None
+        assert len(r.obs.rounds) == r.stats.rounds
+        assert r.obs.num_machines == 2
 
     def test_trace_off_by_default(self):
         g = chain_graph(5)
         r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
             "SELECT COUNT(*) FROM MATCH (a)->(b)"
         )
-        assert r.trace is None
+        assert r.obs is None
 
     def test_pass_trace_instance(self):
         g = chain_graph(5)
-        trace = ExecutionTrace()
+        recorder = Recorder()
         r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=trace
+            "SELECT COUNT(*) FROM MATCH (a)->(b)", observe=recorder
         )
-        assert r.trace is trace
-        assert trace.rounds
+        assert r.obs is recorder
+        assert recorder.rounds
 
     def test_termination_event_recorded(self):
         g = chain_graph(5)
         r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=True
+            "SELECT COUNT(*) FROM MATCH (a)->(b)", observe=True
         )
-        assert any("termination" in text for _r, text in r.trace.events)
+        assert r.obs.count_events("termination.concluded") == 1
 
 
 class TestAnalysis:
     def test_utilization_bounds(self):
         g = random_graph(40, 120, seed=3)
         r = RPQdEngine(g, EngineConfig(num_machines=4)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)", trace=True
+            "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)", observe=True
         )
-        for u in r.trace.utilization():
+        for u in utilization(r.obs):
             assert 0.0 <= u <= 1.0
-        assert r.trace.imbalance() >= 1.0
+        assert imbalance(r.obs) >= 1.0
 
     def test_imbalance_metric_synthetic(self):
         # One machine doing all the work at 2 machines => max/mean = 2.0.
-        t = ExecutionTrace()
-        t.configure(2, quantum=100.0)
-        t.record_round(1, [100.0, 0.0])
-        t.record_round(2, [100.0, 0.0])
-        assert t.imbalance() == 2.0
-        assert t.utilization() == [1.0, 0.0]
-        assert t.busy_rounds(0) == 2
-        assert t.busy_rounds(1) == 0
+        rec = Recorder()
+        rec.configure(2, quantum=100.0)
+        rec.record_round(1, [100.0, 0.0])
+        rec.record_round(2, [100.0, 0.0])
+        assert imbalance(rec) == 2.0
+        assert utilization(rec) == [1.0, 0.0]
+        assert sum(1 for _r, work in rec.rounds if work[0] > 0) == 2
+        assert sum(1 for _r, work in rec.rounds if work[1] > 0) == 0
 
     def test_balanced_trace_has_unit_imbalance(self):
-        t = ExecutionTrace()
-        t.configure(3, quantum=10.0)
-        t.record_round(1, [5.0, 5.0, 5.0])
-        assert t.imbalance() == 1.0
+        rec = Recorder()
+        rec.configure(3, quantum=10.0)
+        rec.record_round(1, [5.0, 5.0, 5.0])
+        assert imbalance(rec) == 1.0
 
     def test_summary_shape(self):
+        # The recorder's round log matches the run's statistics: one entry
+        # per round, one work figure per machine, busy rounds agreeing.
         g = chain_graph(6)
         r = RPQdEngine(g, EngineConfig(num_machines=2)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)->(b)", trace=True
+            "SELECT COUNT(*) FROM MATCH (a)->(b)", observe=True
         )
-        s = r.trace.summary()
-        assert set(s) == {"rounds", "utilization", "imbalance", "events"}
+        assert [n for n, _work in r.obs.rounds] == list(
+            range(1, r.stats.rounds + 1)
+        )
+        assert all(len(work) == 2 for _n, work in r.obs.rounds)
+        for m, stats in enumerate(r.stats.per_machine):
+            busy = sum(1 for _n, work in r.obs.rounds if work[m] > 0)
+            assert busy == stats.busy_rounds
 
 
 class TestRendering:
     def test_timeline_renders_one_row_per_machine(self):
         g = random_graph(30, 90, seed=4)
         r = RPQdEngine(g, EngineConfig(num_machines=3)).execute(
-            "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)", trace=True
+            "SELECT COUNT(*) FROM MATCH (a)-/:LINK{1,2}/->(b)", observe=True
         )
-        text = r.trace.render_timeline(width=40)
+        text = render_timeline(r.obs, width=40)
         lines = text.splitlines()
         assert lines[0].startswith("M0 ")
         assert lines[2].startswith("M2 ")
         assert "utilization" in lines[-1]
 
     def test_empty_trace_renders(self):
-        assert "no rounds" in ExecutionTrace().render_timeline()
+        assert "no rounds" in render_timeline(Recorder())

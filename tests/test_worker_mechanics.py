@@ -6,19 +6,24 @@ import pytest
 from repro import EngineConfig, GraphBuilder, RPQdEngine
 from repro.engine.result import MachineSink
 from repro.graph.generators import chain_graph, star_graph
-from repro.runtime.scheduler import QueryExecution
+from repro.runtime.multi import ClusterScheduler
 from repro.runtime.worker import Frame, Job, MAX_NESTED_JOBS, Worker
 
 
 def make_execution(graph, query, config):
+    """A one-task cluster, as ``Session.execute`` builds it."""
     engine = RPQdEngine(graph, config)
     plan = engine.compile(query)
     sinks = [MachineSink(plan) for _ in range(config.num_machines)]
-    return (
-        QueryExecution(engine.dgraph, plan, config, lambda m: sinks[m]),
-        sinks,
-        plan,
-    )
+    cluster = ClusterScheduler(engine.dgraph, config)
+    return cluster, cluster.submit(plan, lambda m: sinks[m]), sinks, plan
+
+
+def run_task(cluster, task):
+    cluster.run()
+    if task.error is not None:
+        raise task.error
+    return task.stats
 
 
 class TestFrame:
@@ -39,10 +44,10 @@ class TestUndoLog:
     def test_pop_restores_slots_in_reverse_order(self):
         g = chain_graph(3)
         config = EngineConfig(num_machines=1)
-        ex, _sinks, plan = make_execution(
+        cluster, task, _sinks, plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-[:NEXT]->(b)", config
         )
-        worker = ex.machines[0].workers[0]
+        worker = task.slices[0].workers[0]
         job = Job("root", ctx=[0, 0, 0])
         frame = Frame(0, 0)
         frame.undo.append((0, "first"))
@@ -59,11 +64,11 @@ class TestBootstrapSharing:
         # worker can contribute; all roots get processed exactly once.
         g = star_graph(30)
         config = EngineConfig(num_machines=1, workers_per_machine=4)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-[:LINK]->(b)", config
         )
-        stats = ex.run()
-        m = ex.machines[0]
+        stats = run_task(cluster, task)
+        m = task.slices[0]
         assert not m.bootstrap_pending()
         assert m.stats.bootstrapped == 31
         assert stats.outputs == 30
@@ -71,14 +76,14 @@ class TestBootstrapSharing:
     def test_single_vertex_bootstrap_only_on_owner(self):
         g = chain_graph(10)
         config = EngineConfig(num_machines=2)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)->(b) WHERE id(a) = 3", config
         )
-        owner = ex.machines[3 % 2]
-        other = ex.machines[(3 + 1) % 2]
+        owner = task.slices[3 % 2]
+        other = task.slices[(3 + 1) % 2]
         assert owner.bootstrap_pending()
         assert not other.bootstrap_pending()
-        ex.run()
+        run_task(cluster, task)
         assert owner.stats.bootstrapped == 1
         assert other.stats.bootstrapped == 0
 
@@ -87,36 +92,36 @@ class TestBatchAccounting:
     def test_done_sent_at_absorption_and_processed_at_completion(self):
         g = chain_graph(20)
         config = EngineConfig(num_machines=2, batch_size=4)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", config
         )
-        ex.run()
-        for m in ex.machines:
+        run_task(cluster, task)
+        for m in task.slices:
             # Every absorbed batch was eventually completed.
             assert m._absorbed == 0
             # DONEs match the batches this machine received and absorbed.
             received = sum(
                 other.tracker.sent[key]
-                for other in ex.machines
+                for other in task.slices
                 if other is not m
                 for key in other.tracker.sent
             )
-        total_sent = sum(m.stats.batches_sent for m in ex.machines)
-        total_done = sum(m.stats.done_messages for m in ex.machines)
+        total_sent = sum(m.stats.batches_sent for m in task.slices)
+        total_done = sum(m.stats.done_messages for m in task.slices)
         assert total_done == total_sent
 
     def test_sent_equals_processed_after_run(self):
         g = chain_graph(15)
         config = EngineConfig(num_machines=3)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-/:NEXT{1,4}/->(b)", config
         )
-        ex.run()
+        run_task(cluster, task)
         from collections import Counter
 
         sent = Counter()
         processed = Counter()
-        for m in ex.machines:
+        for m in task.slices:
             sent.update(m.tracker.sent)
             processed.update(m.tracker.processed)
         assert sent == processed
@@ -124,11 +129,11 @@ class TestBatchAccounting:
     def test_credits_all_returned(self):
         g = chain_graph(25)
         config = EngineConfig(num_machines=4, batch_size=2)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)-/:NEXT+/->(b)", config
         )
-        ex.run()
-        for m in ex.machines:
+        run_task(cluster, task)
+        for m in task.slices:
             assert m.flow.in_flight == 0
 
 
@@ -139,10 +144,10 @@ class TestNestedJobs:
     def test_worker_idle_semantics(self):
         g = chain_graph(4)
         config = EngineConfig(num_machines=1)
-        ex, _sinks, _plan = make_execution(
+        cluster, task, _sinks, _plan = make_execution(
             g, "SELECT COUNT(*) FROM MATCH (a)->(b)", config
         )
-        worker = ex.machines[0].workers[0]
+        worker = task.slices[0].workers[0]
         assert not worker.idle  # bootstrap pending
-        ex.run()
+        run_task(cluster, task)
         assert worker.idle
